@@ -46,6 +46,8 @@ pub struct StreamStage {
 #[derive(Debug, Clone, Default)]
 pub struct StreamReport {
     pub stages: Vec<StreamStage>,
+    /// Wall-clock of the whole run: the source half plus the runner half, so
+    /// never less than the sum of the stage walls.
     pub total_wall: Duration,
     /// Run-wide peak residency in entries.
     pub peak_resident_entries: usize,

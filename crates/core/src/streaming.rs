@@ -327,7 +327,9 @@ pub fn run_streaming_to_dataset_with<W: StreamableSource>(
     all_stages.append(&mut stages);
     let report = StreamReport {
         stages: all_stages,
-        total_wall: started.elapsed(),
+        // The source was built before this runner's clock started; its own
+        // report holds that half.
+        total_wall: source.source_report().total_wall + started.elapsed(),
         peak_resident_entries: meter.peak(),
         budget,
     };
@@ -460,8 +462,15 @@ mod tests {
                 "stage `{name}` reports an empty working set"
             );
         }
-        // The synth half's stages are folded into the same report.
+        // The synth half's stages are folded into the same report, and its
+        // wall into the total.
         assert!(run.report.stage("regulatory_pass").is_some());
+        let stage_sum: std::time::Duration = run.report.stages.iter().map(|s| s.wall).sum();
+        assert!(
+            run.report.total_wall >= stage_sum,
+            "total {:?} < stage sum {stage_sum:?}",
+            run.report.total_wall
+        );
         assert!(run.matrix.dataset.n_rows() > 0);
         assert!(run.report.peak_resident_entries > 0);
     }

@@ -31,7 +31,8 @@
 //! * [`quant`] — the flat forest with thresholds quantised to u16 bin
 //!   ranks ([`QuantForest`]): exact by a rank-ordering argument, verified
 //!   at construction, falling back per-tree when a tree cannot be
-//!   quantised exactly,
+//!   quantised exactly; a bench reference for the kernel pairs, slower
+//!   than the flat block walk on served forests,
 //! * [`baseline`] — the random-guessing baseline the paper compares against.
 
 pub mod attribution;

@@ -19,6 +19,12 @@
 //! way). The u16 compare therefore reproduces the f32 comparison bit for
 //! bit — no approximation, no epsilon.
 //!
+//! **A bench reference, not a serving kernel.** On the forests the server
+//! scores, this kernel runs at about 0.83× the f32 block walk
+//! (`serve.quantised_speedup` in perfbench), so `redsus_serve` scores on
+//! [`FlatForest`]; the quantised kernel is kept for perfbench's
+//! block64-vs-quantised kernel pairs and the inference bench.
+//!
 //! The guarantee is still *verified*, not assumed, at construction: every
 //! split's threshold must round-trip through the bin table bitwise, the
 //! table must fit u16 ranks (≤ 65534 distinct thresholds per feature, the
@@ -62,6 +68,8 @@ struct QuantNode {
 
 /// A [`FlatForest`] with thresholds quantised to u16 ranks, plus the flat
 /// forest itself for per-tree fallback, schema access and attribution.
+/// A bench reference kept for perfbench's kernel pairs (see the module
+/// docs); nothing in the serving path scores on it.
 #[derive(Debug, Clone)]
 pub struct QuantForest {
     flat: FlatForest,

@@ -9,14 +9,15 @@
 //! diff engine already honour. [`ScoreMode`] *is* that shared enum.
 //!
 //! Inside a shard, rows run through the **block-batched** traversal kernel
-//! ([`FlatForest::predict_margin_rows_into`], or its [`QuantForest`]
-//! counterpart via [`score_rows_quantised`]) — margins are bit-identical to
-//! the per-row walk at any block size, so the kernel choice never shows in
-//! the output bits. Inputs that fit a single shard, or schedules with one
-//! effective worker, **short-circuit** past the shard/worker machinery
-//! entirely: on the 1-core bench container the worker sweep showed
-//! `Threads(2)`/`Threads(4)` strictly slower than sequential, so spawning is
-//! pure overhead unless there are both multiple shards and multiple workers.
+//! ([`FlatForest::predict_margin_rows_into`]; its [`QuantForest`]
+//! counterpart [`score_rows_quantised`] is kept as a bench reference) —
+//! margins are bit-identical to the per-row walk at any block size, so the
+//! kernel choice never shows in the output bits. Inputs that fit a single
+//! shard, or schedules with one effective worker, **short-circuit** past the
+//! shard/worker machinery entirely: on the 1-core bench container the worker
+//! sweep showed `Threads(2)`/`Threads(4)` strictly slower than sequential, so
+//! spawning is pure overhead unless there are both multiple shards and
+//! multiple workers.
 
 use bdc::stream::map_shards;
 use ml::gbdt::sigmoid;
@@ -61,31 +62,6 @@ impl ScoreOutput {
     }
 }
 
-/// Which traversal kernel a scoring call runs on. All three produce
-/// bit-identical scores — the kernel is a throughput decision, reported by
-/// the HTTP endpoint and the quickstart example so dispatch is observable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScoreKernel {
-    /// Per-row recursive-equivalent walk over the flat forest.
-    Scalar,
-    /// Block-batched level-synchronous traversal of the flat forest.
-    Batched,
-    /// Block-batched traversal on u16-quantised thresholds (exact trees
-    /// only; inexact trees fall back to the flat walk inside the kernel).
-    Quantised,
-}
-
-impl ScoreKernel {
-    /// Stable name, used by the HTTP endpoint and the CLI.
-    pub fn name(self) -> &'static str {
-        match self {
-            ScoreKernel::Scalar => "scalar",
-            ScoreKernel::Batched => "batched",
-            ScoreKernel::Quantised => "quantised",
-        }
-    }
-}
-
 /// Score a row-major block of feature rows (width = the forest's feature
 /// count).
 ///
@@ -106,7 +82,9 @@ pub fn score_rows(
 
 /// [`score_rows`] on the quantised kernel: identical output bits (the
 /// quantised compare is exact by construction, with per-tree fallback),
-/// fewer bytes touched per node.
+/// fewer bytes touched per node. A bench reference, kept for perfbench's
+/// block64-vs-quantised kernel pairs: on the served forests it runs at
+/// about 0.83× [`score_rows`], so nothing in the serving path calls it.
 ///
 /// # Panics
 /// Panics when `data.len()` is not a multiple of the forest's feature count.

@@ -96,11 +96,121 @@ fn is_missing_token(cell: &str) -> bool {
         || cell.eq_ignore_ascii_case("null")
 }
 
+/// The header's trimmed column names. Alignment is by name and a repeated
+/// name would silently shadow one copy's data (`build_name_index` is
+/// first-wins), so it is rejected here, where the caller can still fix the
+/// request.
+fn parse_header(line: &str) -> Result<Vec<String>, FrameError> {
+    let header: Vec<String> = line.split(',').map(|c| c.trim().to_string()).collect();
+    let mut seen: std::collections::HashMap<&str, usize> =
+        std::collections::HashMap::with_capacity(header.len());
+    for (c, name) in header.iter().enumerate() {
+        if let Some(&first) = seen.get(name.as_str()) {
+            return Err(FrameError::DuplicateColumn {
+                name: name.clone(),
+                first: first + 1,
+                second: c + 1,
+            });
+        }
+        seen.insert(name, c);
+    }
+    Ok(header)
+}
+
+/// Append one trimmed, non-empty data line of `width` cells to `data` in a
+/// single left-to-right pass over its bytes: no per-row cell vector and, for
+/// short integer cells, no trim or float parse (see [`int_cell`]).
+fn parse_row(
+    line: &str,
+    line_no: usize,
+    width: usize,
+    data: &mut Vec<f32>,
+) -> Result<(), FrameError> {
+    let bytes = line.as_bytes();
+    let n_cells = || bytes.iter().filter(|&&b| b == b',').count() + 1;
+    let width_mismatch = || FrameError::WidthMismatch {
+        line: line_no,
+        expected: width,
+        found: n_cells(),
+    };
+    let mut start = 0;
+    for column in 1.. {
+        if column > width {
+            return Err(width_mismatch());
+        }
+        let end = match int_cell(bytes, start) {
+            Some((value, end)) => {
+                data.push(value);
+                end
+            }
+            None => {
+                let end = bytes[start..]
+                    .iter()
+                    .position(|&b| b == b',')
+                    .map_or(bytes.len(), |p| start + p);
+                // `,` is ASCII, so both ends are char boundaries.
+                let cell = line[start..end].trim();
+                if is_missing_token(cell) {
+                    data.push(f32::NAN);
+                } else if let Ok(value) = cell.parse::<f32>() {
+                    data.push(value);
+                } else if n_cells() != width {
+                    return Err(width_mismatch());
+                } else {
+                    return Err(FrameError::BadNumber {
+                        line: line_no,
+                        column,
+                        value: cell.to_string(),
+                    });
+                }
+                end
+            }
+        };
+        if end == bytes.len() {
+            if column != width {
+                return Err(width_mismatch());
+            }
+            break;
+        }
+        start = end + 1;
+    }
+    Ok(())
+}
+
+/// The fast path of [`parse_row`]: a cell that is exactly `[-]d{1,7}` and
+/// ends at `,` or at the end of the line, as `(value, end)`. Exact because
+/// every integer below 2^24 is an `f32`, so `n as f32` has the bits of the
+/// correctly rounded `str::parse` (`-0` included). Anything else — signs,
+/// spaces, decimals, longer digit runs — is `None` and takes the general
+/// path. Counts and integral speeds print this way: 65% of the cells in
+/// perfbench's `score-bulk` frames take this path.
+fn int_cell(bytes: &[u8], start: usize) -> Option<(f32, usize)> {
+    let negative = bytes.get(start) == Some(&b'-');
+    let digits = start + usize::from(negative);
+    let mut end = digits;
+    let mut n = 0u32;
+    while end < bytes.len() && end - digits < 8 && bytes[end].is_ascii_digit() {
+        n = n * 10 + u32::from(bytes[end] - b'0');
+        end += 1;
+    }
+    if !(1..=7).contains(&(end - digits)) || bytes.get(end).is_some_and(|&b| b != b',') {
+        return None;
+    }
+    let value = n as f32;
+    Some((if negative { -value } else { value }, end))
+}
+
 impl FeatureFrame {
     /// Parse CSV text: first non-empty, non-`#` line is the header, every
-    /// further line is one row. Cells are trimmed; empty / `nan` / `na` /
-    /// `null` cells are missing values.
+    /// further line is one row. A leading UTF-8 byte-order mark is dropped.
+    /// Cells are trimmed; empty / `nan` / `na` / `null` cells are missing
+    /// values. A row of the wrong width is reported as such even when it
+    /// also holds a bad number.
     pub fn parse_csv(text: &str) -> Result<Self, FrameError> {
+        // Spreadsheet exports start with U+FEFF, which is not whitespace:
+        // left in place it would rename the first column and that feature
+        // would be scored as missing without a word.
+        let text = text.strip_prefix('\u{feff}').unwrap_or(text);
         let mut names: Option<Vec<String>> = None;
         let mut data = Vec::new();
         for (i, raw) in text.lines().enumerate() {
@@ -109,49 +219,8 @@ impl FeatureFrame {
                 continue;
             }
             match &names {
-                None => {
-                    let header: Vec<String> =
-                        line.split(',').map(|c| c.trim().to_string()).collect();
-                    // Alignment is by name; a repeated name would silently
-                    // shadow one copy's data (build_name_index is
-                    // first-wins), so reject it here where the caller can
-                    // still fix the request.
-                    let mut seen: std::collections::HashMap<&str, usize> =
-                        std::collections::HashMap::with_capacity(header.len());
-                    for (c, name) in header.iter().enumerate() {
-                        if let Some(&first) = seen.get(name.as_str()) {
-                            return Err(FrameError::DuplicateColumn {
-                                name: name.clone(),
-                                first: first + 1,
-                                second: c + 1,
-                            });
-                        }
-                        seen.insert(name, c);
-                    }
-                    names = Some(header);
-                }
-                Some(header) => {
-                    let cells: Vec<&str> = line.split(',').collect();
-                    if cells.len() != header.len() {
-                        return Err(FrameError::WidthMismatch {
-                            line: i + 1,
-                            expected: header.len(),
-                            found: cells.len(),
-                        });
-                    }
-                    for (c, cell) in cells.iter().enumerate() {
-                        let cell = cell.trim();
-                        if is_missing_token(cell) {
-                            data.push(f32::NAN);
-                        } else {
-                            data.push(cell.parse::<f32>().map_err(|_| FrameError::BadNumber {
-                                line: i + 1,
-                                column: c + 1,
-                                value: cell.to_string(),
-                            })?);
-                        }
-                    }
-                }
+                None => names = Some(parse_header(line)?),
+                Some(header) => parse_row(line, i + 1, header.len(), &mut data)?,
             }
         }
         let names = names.ok_or(FrameError::Empty)?;
@@ -240,6 +309,224 @@ pub struct AlignedBlock {
 mod tests {
     use super::*;
     use ml::{Dataset, FlatForest, GbdtModel, GbdtParams};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The reference parser the differential tests hold `parse_csv` to:
+    /// each row split into a `Vec<&str>`, then `trim` and `str::parse` on
+    /// every cell, and the width checked before any cell is parsed.
+    fn split_parse_csv(text: &str) -> Result<FeatureFrame, FrameError> {
+        let mut names: Option<Vec<String>> = None;
+        let mut data = Vec::new();
+        for (i, raw) in text.lines().enumerate() {
+            let line = raw.trim();
+            if line.is_empty() || line.starts_with('#') {
+                continue;
+            }
+            match &names {
+                None => names = Some(parse_header(line)?),
+                Some(header) => {
+                    let cells: Vec<&str> = line.split(',').collect();
+                    if cells.len() != header.len() {
+                        return Err(FrameError::WidthMismatch {
+                            line: i + 1,
+                            expected: header.len(),
+                            found: cells.len(),
+                        });
+                    }
+                    for (c, cell) in cells.iter().enumerate() {
+                        let cell = cell.trim();
+                        if is_missing_token(cell) {
+                            data.push(f32::NAN);
+                        } else {
+                            data.push(cell.parse::<f32>().map_err(|_| FrameError::BadNumber {
+                                line: i + 1,
+                                column: c + 1,
+                                value: cell.to_string(),
+                            })?);
+                        }
+                    }
+                }
+            }
+        }
+        let names = names.ok_or(FrameError::Empty)?;
+        Ok(FeatureFrame { names, data })
+    }
+
+    /// Same names and bit-identical cells (NaN payloads included), or the
+    /// same error.
+    fn assert_same_parse(
+        got: &Result<FeatureFrame, FrameError>,
+        want: &Result<FeatureFrame, FrameError>,
+        text: &str,
+    ) {
+        match (got, want) {
+            (Ok(got), Ok(want)) => {
+                assert_eq!(got.names, want.names, "names differ for {text:?}");
+                let bits =
+                    |f: &FeatureFrame| f.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(got), bits(want), "cells differ for {text:?}");
+            }
+            _ => assert_eq!(got, want, "outcome differs for {text:?}"),
+        }
+    }
+
+    fn random_digits(rng: &mut StdRng, n: usize) -> String {
+        (0..n)
+            .map(|_| char::from(b'0' + rng.gen_range(0..10u8)))
+            .collect()
+    }
+
+    /// One cell as a client might send it: mostly numbers, some missing
+    /// tokens, whitespace of every kind `trim` strips, and rare garbage.
+    fn random_cell(rng: &mut StdRng) -> String {
+        const SIGNS: [&str; 4] = ["", "", "-", "+"];
+        const TOKENS: [&str; 14] = [
+            "", "nan", "NaN", "NAN", "na", "Na", "null", "NULL", "nUlL", "inf", "-Inf", "INF",
+            "infinity", "+inf",
+        ];
+        const BAD: [&str; 12] = [
+            "zebra", "1.2.3", "--1", "1-", "0x10", "1e", "e5", ".", "+-1", "1 2", "\u{661}", "nan1",
+        ];
+        const PADS: [&str; 6] = [" ", "  ", "\t", "\u{b}", "\u{a0}", " \t"];
+        let sign = SIGNS[rng.gen_range(0..SIGNS.len())];
+        let core = match rng.gen_range(0..20) {
+            0..=8 => {
+                let n = rng.gen_range(1..=9usize);
+                format!("{sign}{}", random_digits(rng, n))
+            }
+            9 => "-0".to_string(),
+            10 => format!("{sign}{:0>7}", rng.gen_range(0..1000u32)),
+            11..=13 => {
+                let (a, b) = (rng.gen_range(1..=6usize), rng.gen_range(1..=9usize));
+                format!("{sign}{}.{}", random_digits(rng, a), random_digits(rng, b))
+            }
+            14 => {
+                let exponent = rng.gen_range(-45..=40i32);
+                format!("{sign}{}e{exponent}", random_digits(rng, 3))
+            }
+            15 => format!("{}", rng.gen_range(-1e6f32..1e6)),
+            16..=18 => TOKENS[rng.gen_range(0..TOKENS.len())].to_string(),
+            _ if rng.gen_bool(0.1) => BAD[rng.gen_range(0..BAD.len())].to_string(),
+            _ => format!(".{}", random_digits(rng, 2)),
+        };
+        let pad = |rng: &mut StdRng| {
+            if rng.gen_bool(0.15) {
+                PADS[rng.gen_range(0..PADS.len())]
+            } else {
+                ""
+            }
+        };
+        format!("{}{core}{}", pad(rng), pad(rng))
+    }
+
+    /// A frame of `width` columns: a header, then rows, blank lines and
+    /// comments under either line ending, with the odd short or long row.
+    fn random_frame(rng: &mut StdRng) -> String {
+        let width = rng.gen_range(1..=6usize);
+        let eol = if rng.gen_bool(0.5) { "\n" } else { "\r\n" };
+        let mut text = String::new();
+        if rng.gen_bool(0.2) {
+            text.push_str("# exported frame");
+            text.push_str(eol);
+        }
+        let header: Vec<String> = (0..width).map(|c| format!("f{c}")).collect();
+        text.push_str(&header.join(","));
+        text.push_str(eol);
+        for _ in 0..rng.gen_range(0..12) {
+            match rng.gen_range(0..40) {
+                0 => text.push_str(" \t"),
+                1 => text.push_str("  # note"),
+                _ => {
+                    let cells = match rng.gen_range(0..50) {
+                        0 => width.saturating_sub(1).max(1),
+                        1 => width + 1,
+                        _ => width,
+                    };
+                    let row: Vec<String> = (0..cells).map(|_| random_cell(rng)).collect();
+                    text.push_str(&row.join(","));
+                }
+            }
+            text.push_str(eol);
+        }
+        text
+    }
+
+    /// The single-pass parser against the split-based oracle on seeded
+    /// random frames: identical cell bits, or the identical typed error
+    /// (line, column and value).
+    #[test]
+    fn single_pass_parser_matches_split_oracle_on_random_frames() {
+        let mut rng = StdRng::seed_from_u64(0x5eed_f4a3e);
+        let (mut parsed, mut failed) = (0, 0);
+        for _ in 0..3000 {
+            let text = random_frame(&mut rng);
+            let got = FeatureFrame::parse_csv(&text);
+            assert_same_parse(&got, &split_parse_csv(&text), &text);
+            if got.is_ok() {
+                parsed += 1;
+            } else {
+                failed += 1;
+            }
+        }
+        // Both outcomes must be exercised for the comparison to mean much.
+        assert!(
+            parsed > 500 && failed > 100,
+            "{parsed} parsed, {failed} failed"
+        );
+    }
+
+    /// The integer fast path against `str::parse::<f32>` over a stepped
+    /// sweep of `[-]d{1,7}`, unpadded and zero-padded to seven digits, at
+    /// the end of a line and before a comma.
+    #[test]
+    fn integer_fast_path_matches_std_parse() {
+        let values = (0..10_000_000u32)
+            .step_by(7919)
+            .chain([1, 9, 10, 99, 9_999_999]);
+        for n in values {
+            for digits in [n.to_string(), format!("{n:07}")] {
+                for cell in [digits.clone(), format!("-{digits}")] {
+                    let want = cell.parse::<f32>().unwrap().to_bits();
+                    for (text, end) in [
+                        (cell.clone(), cell.len()),
+                        (format!("{cell},1"), cell.len()),
+                    ] {
+                        let got = int_cell(text.as_bytes(), 0).map(|(v, e)| (v.to_bits(), e));
+                        assert_eq!(got, Some((want, end)), "{text:?}");
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            int_cell(b"-0", 0).map(|(v, _)| v.to_bits()),
+            Some((-0.0f32).to_bits())
+        );
+        // Longer digit runs, signs, padding and decimals take the general path.
+        for cell in ["12345678", "+1", " 1", "1 ", "1.5", "-", "", "1e3", "--1"] {
+            assert_eq!(int_cell(cell.as_bytes(), 0), None, "{cell:?}");
+        }
+    }
+
+    /// Spreadsheet exports start with a UTF-8 byte-order mark; it must not
+    /// rename the first column (which would score that feature as missing).
+    #[test]
+    fn byte_order_mark_is_stripped_before_the_header() {
+        let forest = forest();
+        let plain = "a,b,c\n0.1,0.2,0.3\n0.9,,0.5\n";
+        let with_bom = format!("\u{feff}{plain}");
+        let (a, b) = (
+            FeatureFrame::parse_csv(plain).unwrap(),
+            FeatureFrame::parse_csv(&with_bom).unwrap(),
+        );
+        assert_same_parse(&Ok(b.clone()), &Ok(a.clone()), &with_bom);
+        let (aligned_a, aligned_b) = (a.align(&forest), b.align(&forest));
+        assert!(aligned_b.missing_features.is_empty());
+        assert!(aligned_b.ignored_columns.is_empty());
+        assert_eq!(aligned_a.n_rows, aligned_b.n_rows);
+        let bits = |d: &[f32]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&aligned_a.data), bits(&aligned_b.data));
+    }
 
     fn forest() -> FlatForest {
         let mut d = Dataset::new(vec!["a".into(), "b".into(), "c".into()]);
@@ -290,6 +577,15 @@ mod tests {
                 line: 2,
                 column: 2,
                 value: "zebra".into()
+            })
+        );
+        // A width mismatch wins over a bad cell met before the row's end.
+        assert_eq!(
+            FeatureFrame::parse_csv("a,b\nzebra,1,2\n"),
+            Err(FrameError::WidthMismatch {
+                line: 2,
+                expected: 2,
+                found: 3
             })
         );
     }

@@ -1168,9 +1168,8 @@ fn healthz_body(shared: &Shared) -> String {
     );
     match shared.registry.default_model() {
         Some(served) => format!(
-            "{{\"status\":\"ok\",\"fingerprint\":\"{}\",\"kernel\":\"{}\",\"trees\":{},\"features\":{},{counters}}}",
+            "{{\"status\":\"ok\",\"fingerprint\":\"{}\",\"kernel\":\"batched\",\"trees\":{},\"features\":{},{counters}}}",
             served.fingerprint_hex(),
-            served.kernel().name(),
             served.forest().n_trees(),
             served.forest().n_features(),
         ),
@@ -1194,11 +1193,10 @@ fn models_body(shared: &Shared) -> String {
             body.push(',');
         }
         body.push_str(&format!(
-            "{{\"fingerprint\":\"{:#018x}\",\"trees\":{},\"features\":{},\"kernel\":\"{}\",\"default\":{}}}",
+            "{{\"fingerprint\":\"{:#018x}\",\"trees\":{},\"features\":{},\"kernel\":\"batched\",\"default\":{}}}",
             info.fingerprint,
             info.trees,
             info.features,
-            info.kernel.name(),
             info.is_default,
         ));
     }

@@ -28,11 +28,9 @@
 //!
 //! Inference runs on [`ml::FlatForest`], the recursive trees lowered into
 //! breadth-first contiguous node arrays and traversed by a block-batched
-//! kernel — or on [`ml::QuantForest`], the same forest with thresholds
-//! quantised to u16 ranks, when every tree quantises exactly. Both are
-//! proven bit-identical to [`GbdtModel::predict_margin`] — so a score
-//! served over the wire equals the score the experiments computed
-//! in-process, to the last bit, whichever kernel dispatched it.
+//! kernel, proven bit-identical to [`GbdtModel::predict_margin`] — so a
+//! score served over the wire equals the score the experiments computed
+//! in-process, to the last bit.
 
 pub mod artifact;
 pub mod batch;
@@ -45,24 +43,27 @@ pub use artifact::{
     DecodedArtifact, ARTIFACT_MAGIC, ARTIFACT_VERSION,
 };
 pub use batch::{
-    score_dataset, score_rows, score_rows_quantised, ScoreKernel, ScoreMode, ScoreOutput,
-    SCORE_SHARD_ROWS,
+    score_dataset, score_rows, score_rows_quantised, ScoreMode, ScoreOutput, SCORE_SHARD_ROWS,
 };
 pub use frame::{AlignedBlock, FeatureFrame, FrameError};
 pub use http::{ScoreServer, ServeConfig, ServerStats};
 pub use registry::{DirWatcher, ModelInfo, ModelRegistry, ScanReport};
 
 use std::path::Path;
+use std::sync::OnceLock;
 
 use ml::{FlatForest, GbdtModel, QuantForest};
 
-/// A model prepared for serving: the source model, its quantised inference
-/// engine (which owns the flattened forest), and the artifact content
-/// fingerprint that identifies it.
+/// A model prepared for serving: the source model, the flattened forest the
+/// server scores on, and the artifact content fingerprint that identifies
+/// it.
 #[derive(Debug, Clone)]
 pub struct ServedModel {
     model: GbdtModel,
-    quant: QuantForest,
+    forest: FlatForest,
+    /// Built on first [`ServedModel::quant_forest`] call: only the bench's
+    /// kernel pairs read it, so loads and hot reloads skip it.
+    quant: OnceLock<QuantForest>,
     fingerprint: u64,
 }
 
@@ -71,23 +72,22 @@ impl ServedModel {
     /// encoding it through the artifact format).
     pub fn from_model(model: GbdtModel) -> Self {
         let fingerprint = model_fingerprint(&model);
-        let quant = QuantForest::from_model(&model);
-        Self {
-            model,
-            quant,
-            fingerprint,
-        }
+        Self::prepare(model, fingerprint)
     }
 
     /// Decode artifact bytes and prepare the model for serving.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, ArtifactError> {
         let decoded = decode_model(bytes)?;
-        let quant = QuantForest::from_model(&decoded.model);
-        Ok(Self {
-            model: decoded.model,
-            quant,
-            fingerprint: decoded.fingerprint,
-        })
+        Ok(Self::prepare(decoded.model, decoded.fingerprint))
+    }
+
+    fn prepare(model: GbdtModel, fingerprint: u64) -> Self {
+        Self {
+            forest: FlatForest::from_model(&model),
+            model,
+            quant: OnceLock::new(),
+            fingerprint,
+        }
     }
 
     /// Load an artifact file and prepare the model for serving.
@@ -100,35 +100,24 @@ impl ServedModel {
         &self.model
     }
 
-    /// The flattened inference engine (owned by the quantised one).
+    /// The flattened inference engine [`ServedModel::score_block`] runs on.
     pub fn forest(&self) -> &FlatForest {
-        self.quant.flat()
+        &self.forest
     }
 
-    /// The quantised inference engine.
+    /// The quantised inference engine: a bench reference, kept for the
+    /// block64-vs-quantised kernel pairs; the server never scores on it.
     pub fn quant_forest(&self) -> &QuantForest {
-        &self.quant
+        self.quant
+            .get_or_init(|| QuantForest::from_forest(self.forest.clone()))
     }
 
-    /// The kernel [`ServedModel::score_block`] dispatches to: quantised when
-    /// every tree passed the exactness checks, otherwise the batched flat
-    /// walk. Never changes the output bits — only the bytes touched.
-    pub fn kernel(&self) -> ScoreKernel {
-        if self.quant.is_fully_quantised() {
-            ScoreKernel::Quantised
-        } else {
-            ScoreKernel::Batched
-        }
-    }
-
-    /// Score a row-major block on the best available kernel (see
-    /// [`ServedModel::kernel`]). Bit-identical to
+    /// Score a row-major block on the block-batched flat walk (the
+    /// quantised kernel measured slower on the served forests,
+    /// `serve.quantised_speedup` ≈ 0.83). Bit-identical to
     /// [`GbdtModel::predict_margin`] / `predict_proba` per row.
     pub fn score_block(&self, data: &[f32], output: ScoreOutput, mode: ScoreMode) -> Vec<f64> {
-        match self.kernel() {
-            ScoreKernel::Quantised => score_rows_quantised(&self.quant, data, output, mode),
-            _ => score_rows(self.forest(), data, output, mode),
-        }
+        score_rows(self.forest(), data, output, mode)
     }
 
     /// The artifact content fingerprint.

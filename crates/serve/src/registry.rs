@@ -30,7 +30,6 @@ use std::time::SystemTime;
 
 use obs::Counter;
 
-use crate::batch::ScoreKernel;
 use crate::ServedModel;
 
 /// An immutable registry snapshot: the models and which one is default.
@@ -67,8 +66,6 @@ pub struct ModelInfo {
     pub trees: usize,
     /// Width of the feature schema.
     pub features: usize,
-    /// The kernel `score_block` dispatches to for this model.
-    pub kernel: ScoreKernel,
     /// Whether this is the default version.
     pub is_default: bool,
 }
@@ -292,7 +289,6 @@ impl ModelRegistry {
                 fingerprint: m.fingerprint(),
                 trees: m.forest().n_trees(),
                 features: m.forest().n_features(),
-                kernel: m.kernel(),
                 is_default: snapshot.default == Some(m.fingerprint()),
             })
             .collect()

@@ -124,6 +124,7 @@ fn healthz_reports_the_model() {
         "{body}"
     );
     assert!(body.contains("\"fingerprint\":\"0x"), "{body}");
+    assert!(body.contains("\"kernel\":\"batched\""), "{body}");
     server.shutdown();
 }
 

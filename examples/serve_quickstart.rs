@@ -57,16 +57,10 @@ fn main() {
         served.forest().n_nodes(),
         served.forest().n_trees()
     );
-    // Which traversal kernel will answer queries: "quantised" when every
-    // tree's thresholds lowered exactly to u16 bins, else the batched flat
-    // walk — always bit-identical, so this is a throughput report, and the
-    // example doubles as a smoke check of kernel dispatch.
-    println!(
-        "scoring kernel: {} ({} of {} trees quantised exactly)",
-        served.kernel().name(),
-        served.quant_forest().n_exact_trees(),
-        served.forest().n_trees()
-    );
+    // Queries run on the block-batched flat walk. The quantised kernel is
+    // bit-identical but slower on served forests (perfbench's
+    // `serve.quantised_speedup` ≈ 0.83), so it is only a bench reference.
+    println!("scoring kernel: batched");
 
     // Query 1: in-process batch scoring over the hold-out rows.
     let test = suite
@@ -76,9 +70,8 @@ fn main() {
     let scores = served.score_block(test.data(), ScoreOutput::Probability, ScoreMode::Parallel);
     let flagged = scores.iter().filter(|&&p| p >= 0.5).count();
     println!(
-        "batch-scored {} hold-out rows on the {} kernel: {flagged} flagged as likely unserved",
-        scores.len(),
-        served.kernel().name()
+        "batch-scored {} hold-out rows on the batched kernel: {flagged} flagged as likely unserved",
+        scores.len()
     );
 
     // Query 2: the CSV path the CLI uses, with columns resolved by name.

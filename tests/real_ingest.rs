@@ -55,9 +55,16 @@ fn fixture_dataset_fingerprint_is_pinned_on_every_schedule() {
             GOLDEN_DATASET,
             "dataset fingerprint drifted under {mode:?}"
         );
-        // The report stitches the ingest half in front of the runner half.
+        // The report stitches the ingest half in front of the runner half,
+        // stages and wall both.
         assert!(run.report.stage("availability_ingest").is_some());
         assert!(run.report.stage("feature_engineering").is_some());
+        let stage_sum: std::time::Duration = run.report.stages.iter().map(|s| s.wall).sum();
+        assert!(
+            run.report.total_wall >= stage_sum,
+            "total {:?} < stage sum {stage_sum:?} under {mode:?}",
+            run.report.total_wall
+        );
         assert!(run.matrix.dataset.n_rows() > 0);
     }
 }
