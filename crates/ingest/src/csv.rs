@@ -45,6 +45,10 @@ impl<'a> Fields<'a> {
     }
 }
 
+/// A UTF-8 byte order mark, which spreadsheet exports put in front of the
+/// header; left in place it would rename the first column.
+const BOM: char = '\u{feff}';
+
 /// Split one line into field bounds, reusing `bounds`. Fields may be wrapped
 /// in double quotes (stripped; a quoted field may contain commas). No
 /// escaped-quote handling — neither source needs it.
@@ -146,6 +150,9 @@ impl<R: BufRead> CsvRows<R> {
                 return Ok(None);
             }
             self.line_no += 1;
+            if self.line_no == 1 && self.line.starts_with(BOM) {
+                self.line.drain(..BOM.len_utf8());
+            }
             while self.line.ends_with('\n') || self.line.ends_with('\r') {
                 self.line.pop();
             }
@@ -206,6 +213,9 @@ impl<R: BufRead> AllocCsvRows<R> {
                 return Ok(None);
             }
             self.line_no += 1;
+            if self.line_no == 1 && line.starts_with(BOM) {
+                line.drain(..BOM.len_utf8());
+            }
             while line.ends_with('\n') || line.ends_with('\r') {
                 line.pop();
             }
@@ -309,6 +319,20 @@ mod tests {
             let fields: Vec<&str> = (0..borrowed.len()).map(|i| borrowed.get(i)).collect();
             assert_eq!(fields, owned);
         }
+    }
+
+    #[test]
+    fn leading_byte_order_mark_is_stripped_from_the_first_line_only() {
+        let data = "\u{feff}a,b\n\u{feff}x,y\n";
+        let mut scratch = CsvRows::from_reader(Cursor::new(data), "mem".into());
+        let mut alloc = AllocCsvRows::from_reader(Cursor::new(data), "mem".into());
+        let header = scratch.next_row().unwrap().unwrap();
+        assert_eq!((header.get(0), header.get(1)), ("a", "b"));
+        assert_eq!(alloc.next_row().unwrap().unwrap(), ["a", "b"]);
+        // Past the first line a U+FEFF is data, not a mark.
+        let row = scratch.next_row().unwrap().unwrap();
+        assert_eq!(row.get(0), "\u{feff}x");
+        assert_eq!(alloc.next_row().unwrap().unwrap(), ["\u{feff}x", "y"]);
     }
 
     #[test]

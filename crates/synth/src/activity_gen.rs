@@ -155,10 +155,20 @@ where
         u64::from(provider.value()),
     );
     let mut out = Vec::new();
+    // Claims arrive in runs of one state, so remember the last state's
+    // activity instead of looking it up per claim.
+    let mut last: Option<(&str, f64)> = None;
     for (c, hex, state) in claims_with_geo {
-        let activity = state_by_code(state)
-            .map(|s| s.challenge_activity / max_act)
-            .unwrap_or(0.01);
+        let activity = match last {
+            Some((code, activity)) if code == state => activity,
+            _ => {
+                let activity = state_by_code(state)
+                    .map(|s| s.challenge_activity / max_act)
+                    .unwrap_or(0.01);
+                last = Some((state, activity));
+                activity
+            }
+        };
         let base_rate = if c.truly_served {
             config.challenge_rate_true
         } else {

@@ -36,6 +36,7 @@
 pub mod activity_gen;
 pub mod config;
 pub mod fabric_gen;
+mod fast_hash;
 pub mod providers_gen;
 pub mod registration_gen;
 pub mod release_stream;
@@ -52,5 +53,5 @@ pub use release_stream::{EmittedRelease, EmitterStream, ReleaseEmitter, RemovalS
 pub use shard::{GenMode, SynthReport, SynthStage, SynthStageTiming};
 pub use speedtest_gen::{MlabEmitter, OoklaEmitter};
 pub use states::{StateInfo, STATES};
-pub use stream_world::{HexTable, StreamReport, StreamStage, StreamWorld};
+pub use stream_world::{HexTable, RegulatoryPhases, StreamReport, StreamStage, StreamWorld};
 pub use world::{JccScenario, SynthUs};

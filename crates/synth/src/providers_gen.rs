@@ -14,6 +14,7 @@ use rand::Rng;
 
 use crate::config::SynthConfig;
 use crate::fabric_gen::Town;
+use crate::fast_hash::FastMap;
 use crate::shard::{map_shards, shard_rng, SynthStage};
 use crate::text::{provider_name, MethodologyKind, MAJOR_PROVIDER_NAMES};
 
@@ -466,7 +467,11 @@ pub fn compute_claims_observed(
     }
     for deployment in &profile.deployments {
         let claim_radius = deployment.true_radius_km * multiplier;
-        let mut seen: std::collections::HashSet<LocationId> = std::collections::HashSet::new();
+        // Locations this deployment already claimed: one bitset per visited
+        // town block, indexed by position in the block. A block is a pure
+        // function of its town index, so the position names the same BSL on
+        // every visit, however often the block is regenerated.
+        let mut seen: FastMap<usize, Vec<u64>> = FastMap::default();
         for &(town_idx, is_phantom) in &scan_towns {
             let town = &towns[town_idx];
             // Widest radius at which this scan can claim a BSL; anything in a
@@ -482,9 +487,13 @@ pub fn compute_claims_observed(
                 if towns[cand].center.haversine_km(&town.center) > reach {
                     continue;
                 }
+                let seen = seen
+                    .entry(cand)
+                    .or_insert_with(|| vec![0; towns[cand].n_bsls.div_ceil(64)]);
                 bsls.with_town(cand, &mut |block| {
-                    for bsl in block {
-                        if seen.contains(&bsl.id) {
+                    for (i, bsl) in block.iter().enumerate() {
+                        let (word, bit) = (i / 64, 1u64 << (i % 64));
+                        if seen[word] & bit != 0 {
                             continue;
                         }
                         let dist = town.center.haversine_km(&bsl.position);
@@ -494,7 +503,7 @@ pub fn compute_claims_observed(
                             (dist <= deployment.true_radius_km, dist <= claim_radius)
                         };
                         if claimed {
-                            seen.insert(bsl.id);
+                            seen[word] |= bit;
                             let claim = ClaimTruth {
                                 location: bsl.id,
                                 technology: deployment.technology,
@@ -686,6 +695,75 @@ mod tests {
                 p.provider.name,
                 states.len()
             );
+        }
+    }
+
+    /// [`TownBsls`] with no cache at all: every visit regenerates the block
+    /// from the town's RNG stream, so a block is never the same allocation
+    /// twice.
+    struct RegeneratingTownBsls<'a> {
+        config: &'a SynthConfig,
+        towns: &'a [Town],
+        offsets: Vec<u64>,
+    }
+
+    impl TownBsls for RegeneratingTownBsls<'_> {
+        fn with_town(&self, town_index: usize, visit: &mut dyn FnMut(&[bdc::Bsl])) {
+            let town = &self.towns[town_index];
+            let first_id = self.offsets[town_index] + 1;
+            visit(&crate::fabric_gen::town_bsls(
+                self.config,
+                town_index,
+                town,
+                first_id,
+            ));
+        }
+    }
+
+    #[test]
+    fn dense_seen_set_survives_block_regeneration() {
+        // The seen set is keyed by position in a town block, so a block
+        // regenerated on every visit must claim exactly what the resident
+        // fabric's slices claim — the phantom market's repeat visits
+        // included.
+        let config = SynthConfig::experiment(29);
+        let towns = generate_towns(&config, 1);
+        let fabric = generate_fabric(&config, &towns, 1);
+        let providers = generate_providers(&config, &towns, 1);
+        assert!(providers.iter().any(|p| p.jcc_like));
+        let scanner = ClaimScanner::new(&towns);
+        let resident = FabricTownBsls::new(&fabric, &towns);
+        let regenerating = RegeneratingTownBsls {
+            config: &config,
+            towns: &towns,
+            offsets: crate::fabric_gen::town_offsets(&towns),
+        };
+        let key = |c: &ClaimTruth| {
+            (
+                c.location,
+                c.technology,
+                c.truly_served,
+                c.max_down_mbps.to_bits(),
+                c.max_up_mbps.to_bits(),
+                c.low_latency,
+            )
+        };
+        for profile in &providers {
+            let want = compute_claims_with(profile, &scanner, &resident, &config);
+            let got = compute_claims_with(profile, &scanner, &regenerating, &config);
+            assert_eq!(
+                got.iter().map(key).collect::<Vec<_>>(),
+                want.iter().map(key).collect::<Vec<_>>(),
+                "provider {} (jcc: {})",
+                profile.provider.name,
+                profile.jcc_like
+            );
+            // Within one technology a location is claimed at most once.
+            let mut keys: Vec<_> = want.iter().map(|c| (c.technology, c.location)).collect();
+            keys.sort_unstable();
+            let n = keys.len();
+            keys.dedup();
+            assert_eq!(keys.len(), n, "provider {}", profile.provider.name);
         }
     }
 }

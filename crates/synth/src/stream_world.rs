@@ -31,7 +31,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Mutex;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use asnmap::{FrnRegistration, RegistrationSource, WhoisDb};
 use bdc::source::{end_stage, SourceMeta, WorldSource};
@@ -49,18 +49,13 @@ use crate::activity_gen::{
 };
 use crate::config::SynthConfig;
 use crate::fabric_gen::{generate_towns, town_bsls, town_offsets, FabricEmitter, Town};
+use crate::fast_hash::{FastMap, FastSet};
 use crate::providers_gen::{
     compute_claims_observed, generate_providers, ClaimScanner, ProviderProfile, TownBsls,
 };
 use crate::registration_gen::{generate_registrations, RegistrationData};
 use crate::release_stream::RemovalSchedule;
 use crate::shard::GenMode;
-
-/// Per-`(hex, technology)` release-aggregate accumulator for one provider:
-/// best `(down, up)` speed pair, low-latency flag, distinct-location count —
-/// the same fold `NbmRelease::from_records` runs, kept per provider so
-/// location-level claims never outlive the provider's scan.
-type HexTechAgg = BTreeMap<(HexCell, Technology), (Option<(f64, f64)>, bool, u32)>;
 
 // The stage/report rows and the budget-enforcing `end_stage` now live in
 // `bdc::source` (they are shared by every `WorldSource`); re-exported here so
@@ -211,9 +206,9 @@ impl HexTable {
     }
 
     /// Mark every hex in `served` as genuinely served by some provider.
-    fn set_served(&mut self, served: &BTreeSet<HexCell>) {
+    fn set_served(&mut self, served: impl IntoIterator<Item = HexCell>) {
         for hex in served {
-            if let Ok(i) = self.hexes.binary_search_by(|e| e.0.cmp(hex)) {
+            if let Ok(i) = self.hexes.binary_search_by(|e| e.0.cmp(&hex)) {
                 self.hexes[i].2 = true;
             }
         }
@@ -283,6 +278,7 @@ struct CachedTownBsls<'a> {
 struct TownCache {
     tick: u64,
     resident: usize,
+    regenerated: usize,
     blocks: HashMap<usize, (u64, Vec<Bsl>)>,
 }
 
@@ -306,6 +302,11 @@ impl<'a> CachedTownBsls<'a> {
             cache: Mutex::new(TownCache::default()),
         }
     }
+
+    /// Town blocks regenerated so far (cache misses).
+    fn regenerated(&self) -> usize {
+        self.cache.lock().expect("town cache poisoned").regenerated
+    }
 }
 
 impl TownBsls for CachedTownBsls<'_> {
@@ -326,6 +327,7 @@ impl TownBsls for CachedTownBsls<'_> {
         );
         self.meter.acquire(block.len());
         cache.resident += block.len();
+        cache.regenerated += 1;
         cache.blocks.insert(town_index, (tick, block));
         while cache.resident > self.cap && cache.blocks.len() > 1 {
             let oldest = *cache
@@ -348,6 +350,36 @@ impl Drop for CachedTownBsls<'_> {
         let cache = self.cache.get_mut().expect("town cache poisoned");
         self.meter.release(cache.resident);
         cache.resident = 0;
+    }
+}
+
+/// Where the `regulatory_pass` stage's wall time goes, summed over
+/// providers. Kept beside the stage report rather than in it: the report's
+/// stage rows partition the run, and these are a split of one row.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RegulatoryPhases {
+    /// The claim scan with its per-claim observer fold, town-block
+    /// regeneration included.
+    pub claim_scan: Duration,
+    /// Challenge generation and bookkeeping.
+    pub challenges: Duration,
+    /// Correction generation and bookkeeping.
+    pub corrections: Duration,
+    /// Distinct-location dedup plus the per-hex aggregate fold.
+    pub fold: Duration,
+    /// Town blocks the claim scan regenerated (misses of its block cache).
+    pub town_blocks_regenerated: usize,
+}
+
+impl RegulatoryPhases {
+    /// The four timed sub-phases, named, in pass order.
+    pub fn walls(&self) -> [(&'static str, Duration); 4] {
+        [
+            ("claim_scan", self.claim_scan),
+            ("challenges", self.challenges),
+            ("corrections", self.corrections),
+            ("fold", self.fold),
+        ]
     }
 }
 
@@ -378,6 +410,8 @@ pub struct StreamWorld {
     /// FRN registrations, WHOIS side and ground-truth provider→ASN mapping.
     pub registration: RegistrationData,
     pub report: StreamReport,
+    /// Sub-phase split of the report's `regulatory_pass` stage.
+    pub regulatory_phases: RegulatoryPhases,
     meter: ResidencyMeter,
 }
 
@@ -418,13 +452,14 @@ impl StreamWorld {
         let mut schedule = RemovalSchedule::new(config.n_minor_releases);
         let mut challenges: Vec<Challenge> = Vec::new();
         let mut hex_claims: Vec<HexClaim> = Vec::new();
-        let mut served_all: BTreeSet<HexCell> = BTreeSet::new();
+        let mut served_all: FastSet<HexCell> = FastSet::default();
         let mut served_hexes_by_provider: BTreeMap<ProviderId, BTreeSet<HexCell>> = BTreeMap::new();
         let mut claims_count: BTreeMap<ProviderId, usize> = BTreeMap::new();
         let mut methodologies: BTreeMap<ProviderId, String> = BTreeMap::new();
         let mut pending_loc_hex: HashMap<LocationId, HexCell> = HashMap::new();
         let mut loc_hex_metered = 0usize;
         let mut sched_metered = 0usize;
+        let mut phases = RegulatoryPhases::default();
 
         let mut order: Vec<usize> = (0..profiles.len()).collect();
         order.sort_by_key(|&i| profiles[i].provider.id);
@@ -440,10 +475,18 @@ impl StreamWorld {
 
                 // Scan the provider's claims, folding geometry, per-hex claim
                 // aggregates and served-hex sets in the observer so no second
-                // pass over the claims is ever needed.
+                // pass over the claims is ever needed. `agg` is the
+                // per-`(hex, technology)` release aggregate — best `(down, up)`
+                // pair, low-latency flag, location count — the fold
+                // `NbmRelease::from_records` runs, in scan order per key.
+                let phase = Instant::now();
                 let mut geo: Vec<(HexCell, u16)> = Vec::new();
-                let mut agg: HexTechAgg = BTreeMap::new();
-                let mut served_p: BTreeSet<HexCell> = BTreeSet::new();
+                type Agg = (Option<(f64, f64)>, bool, u32);
+                let mut agg: FastMap<(HexCell, Technology), Agg> = FastMap::default();
+                let mut served_p: FastSet<HexCell> = FastSet::default();
+                // Every claim from one scan town shares that town's state, so
+                // the last interned id almost always answers.
+                let mut state: Option<u16> = None;
                 let claims = compute_claims_observed(
                     profile,
                     &scanner,
@@ -451,10 +494,17 @@ impl StreamWorld {
                     config,
                     &mut |claim, bsl| {
                         meter.acquire(2); // the claim row + its geometry row
-                        let state = hex_table
-                            .state_id(bsl.state.as_str())
-                            .expect("every BSL state was interned during the fabric drain");
-                        geo.push((bsl.hex, state));
+                        let id = match state {
+                            Some(id) if hex_table.state_name(id) == bsl.state => id,
+                            _ => {
+                                let id = hex_table
+                                    .state_id(bsl.state.as_str())
+                                    .expect("every BSL state was interned during the fabric drain");
+                                state = Some(id);
+                                id
+                            }
+                        };
+                        geo.push((bsl.hex, id));
                         let before = agg.len();
                         {
                             let slot = agg
@@ -485,10 +535,12 @@ impl StreamWorld {
                     },
                 );
                 let n_claims = claims.len();
+                phases.claim_scan += phase.elapsed();
 
                 // Challenges against this provider's claims, then corrections
                 // for what survived unchallenged — both keyed by provider id,
                 // so per-provider generation is the materialised generation.
+                let phase = Instant::now();
                 let provider_challs = provider_challenges(
                     config,
                     pid,
@@ -505,6 +557,8 @@ impl StreamWorld {
                     schedule.note_challenge(c);
                     pending_loc_hex.insert(c.location, c.hex);
                 }
+                phases.challenges += phase.elapsed();
+                let phase = Instant::now();
                 let corrections = provider_corrections(config, pid, &claims, &challenged);
                 meter.acquire(corrections.len());
                 meter.release(provider_challs.len()); // challenged set dropped
@@ -525,9 +579,11 @@ impl StreamWorld {
                 meter.release(corrections.len());
                 drop(corrections);
                 challenges.extend(provider_challs);
+                phases.corrections += phase.elapsed();
 
                 // Distinct claimed locations (what the provider's filing would
                 // report): reuse the claims' storage, then let it all go.
+                let phase = Instant::now();
                 drop(geo);
                 meter.release(n_claims);
                 let mut locs: Vec<LocationId> = claims.into_iter().map(|c| c.location).collect();
@@ -539,9 +595,12 @@ impl StreamWorld {
 
                 // Fold the provider's per-hex aggregates into the global claim
                 // table. `(provider, hex, tech)` keys order by provider first,
-                // so appending per-provider BTreeMap drains in provider order
-                // reproduces the materialised release's global group order.
+                // so appending each provider's aggregates sorted by
+                // `(hex, tech)` in provider order reproduces the materialised
+                // release's global group order.
                 let agg_len = agg.len();
+                let mut agg: Vec<((HexCell, Technology), Agg)> = agg.into_iter().collect();
+                agg.sort_unstable_by_key(|&(key, _)| key);
                 for ((hex, technology), (best, low_latency, locations)) in agg {
                     let (max_down_mbps, max_up_mbps) = best.unwrap_or((0.0, 0.0));
                     hex_claims.push(HexClaim {
@@ -559,7 +618,7 @@ impl StreamWorld {
                 meter.release(agg_len * 2);
 
                 if !served_p.is_empty() {
-                    served_hexes_by_provider.insert(pid, served_p);
+                    served_hexes_by_provider.insert(pid, served_p.into_iter().collect());
                 }
 
                 // Meter the slow-growing global side tables.
@@ -567,7 +626,9 @@ impl StreamWorld {
                 loc_hex_metered = pending_loc_hex.len();
                 meter.pin(schedule.len() - sched_metered);
                 sched_metered = schedule.len();
+                phases.fold += phase.elapsed();
             }
+            phases.town_blocks_regenerated = town_blocks.regenerated();
         }
         end_stage(
             &mut stages,
@@ -644,9 +705,8 @@ impl StreamWorld {
             profiles.len(),
         )?;
 
-        hex_table.set_served(&served_all);
         meter.release(served_all.len());
-        drop(served_all);
+        hex_table.set_served(served_all);
         hex_table.extend_loc_hex(pending_loc_hex);
 
         let report = StreamReport {
@@ -667,6 +727,7 @@ impl StreamWorld {
             served_hexes_by_provider,
             registration,
             report,
+            regulatory_phases: phases,
             meter,
         })
     }

@@ -87,6 +87,7 @@ fn main() {
         eprintln!("streaming run failed: {e}");
         std::process::exit(1);
     });
+    let phases = run.world.regulatory_phases;
     if let Some(sink) = telemetry.trace_sink() {
         sink.flush();
         if !json {
@@ -144,6 +145,15 @@ fn main() {
                 stage.shards,
                 stage.peak_resident_entries,
             );
+            if stage.name == "regulatory_pass" {
+                for (phase, wall) in phases.walls() {
+                    println!("  {phase:<20} {:>12.1}", wall.as_secs_f64() * 1e3);
+                }
+                println!(
+                    "  {:<20} {:>12} {:>10}",
+                    "blocks_regenerated", "", phases.town_blocks_regenerated
+                );
+            }
         }
         println!(
             "\ntotal wall {:.2} s, run peak {} entries (budget {})",
@@ -190,6 +200,18 @@ fn main() {
                 "entries",
             );
         }
+        for (phase, wall) in phases.walls() {
+            push(
+                &format!("regulatory_pass.{phase}_wall_ms"),
+                wall.as_secs_f64() * 1e3,
+                "ms",
+            );
+        }
+        push(
+            "regulatory_pass.town_blocks_regenerated",
+            phases.town_blocks_regenerated as f64,
+            "blocks",
+        );
         push("total_wall_s", run.report.total_wall.as_secs_f64(), "s");
         push(
             "peak_resident",

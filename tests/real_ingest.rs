@@ -69,6 +69,46 @@ fn fixture_dataset_fingerprint_is_pinned_on_every_schedule() {
     }
 }
 
+/// Copy the fixture's `bdc/` and `ookla/` trees under `dest`, putting a
+/// UTF-8 byte order mark in front of every CSV, as spreadsheet exports do.
+fn copy_with_byte_order_marks(src: &std::path::Path, dest: &std::path::Path) {
+    std::fs::create_dir_all(dest).expect("create copy dir");
+    for entry in std::fs::read_dir(src).expect("read fixture dir") {
+        let path = entry.expect("fixture entry").path();
+        let target = dest.join(path.file_name().expect("named entry"));
+        if path.is_dir() {
+            copy_with_byte_order_marks(&path, &target);
+        } else if path.extension().is_some_and(|e| e == "csv") {
+            let mut bytes = "\u{feff}".as_bytes().to_vec();
+            bytes.extend(std::fs::read(&path).expect("read fixture csv"));
+            std::fs::write(&target, bytes).expect("write marked csv");
+        }
+    }
+}
+
+#[test]
+fn byte_order_marked_files_load_like_plain_files() {
+    let dir = std::env::temp_dir().join(format!("redsus_bom_fixture_{}", std::process::id()));
+    for tree in ["bdc", "ookla"] {
+        copy_with_byte_order_marks(&fixture_dir().join(tree), &dir.join(tree));
+    }
+    let loaded = FileWorld::load(&dir, &IngestOptions::default(), DiffMode::Sequential);
+    let _ = std::fs::remove_dir_all(&dir);
+    let world = loaded.unwrap_or_else(|e| panic!("byte-order-marked fixture must load: {e}"));
+    let run = run_streaming_to_dataset(
+        world,
+        &LabelingOptions::default(),
+        &FeatureConfig::default(),
+        DiffMode::Sequential,
+    )
+    .expect("byte-order-marked fixture run");
+    assert_eq!(
+        observations_fingerprint(&run.matrix.observations),
+        GOLDEN_OBSERVATIONS
+    );
+    assert_eq!(dataset_fingerprint(&run.matrix.dataset), GOLDEN_DATASET);
+}
+
 #[test]
 fn csv_claim_stream_reports_resident_entries_honestly() {
     let path = fixture_dir().join("bdc/2023-06-30/bdc_NE_50_fixed_broadband.csv");

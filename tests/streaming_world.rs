@@ -12,7 +12,7 @@ use red_is_sus::core::features::{dataset_fingerprint, FeatureConfig};
 use red_is_sus::core::labels::{observations_fingerprint, LabelingOptions};
 use red_is_sus::core::pipeline::PipelineEngine;
 use red_is_sus::core::streaming::run_synth_streaming_to_dataset;
-use red_is_sus::synth::{GenMode, StreamWorld, SynthConfig, SynthUs};
+use red_is_sus::synth::{GenMode, StreamReport, StreamWorld, SynthConfig, SynthUs};
 
 /// The two scales the contract is pinned at: the unit-test world and the
 /// benchmark harness's experiment world.
@@ -21,6 +21,19 @@ fn configs() -> [(&'static str, SynthConfig); 2] {
         ("tiny", SynthConfig::tiny(123)),
         ("experiment", SynthConfig::experiment(123)),
     ]
+}
+
+/// Exact residency peaks, `(regulatory_pass stage peak, run peak)`. The
+/// metering calls are part of the contract: the regulatory pass's
+/// bookkeeping structures may change, the peaks they meter may not.
+const EXPERIMENT_123_PEAKS: (usize, usize) = (173_200, 1_647_219);
+const NATIONAL_7_OVER_4096_PEAKS: (usize, usize) = (74_377, 74_377);
+
+fn peaks(report: &StreamReport) -> (usize, usize) {
+    let stage = report
+        .stage("regulatory_pass")
+        .expect("the source half reports the regulatory pass");
+    (stage.peak_resident_entries, report.peak_resident_entries)
 }
 
 #[test]
@@ -74,6 +87,13 @@ fn streamed_dataset_matches_materialised_on_every_schedule() {
             assert!(streamed.report.stage("fabric_hex_table").is_some());
             assert!(streamed.report.stage("feature_engineering").is_some());
             assert!(streamed.report.peak_resident_entries > 0);
+            if name == "experiment" {
+                assert_eq!(
+                    peaks(&streamed.report),
+                    EXPERIMENT_123_PEAKS,
+                    "experiment: metered peaks moved under {mode:?}"
+                );
+            }
         }
     }
 }
@@ -99,4 +119,33 @@ fn scaled_national_preset_runs_inside_its_budget() {
         budget
     );
     assert!(run.matrix.dataset.n_rows() > 0);
+    assert_eq!(peaks(&run.report), NATIONAL_7_OVER_4096_PEAKS);
+}
+
+#[test]
+fn regulatory_phases_split_the_pass_on_every_schedule() {
+    let config = SynthConfig::national_scaled(7, 4096);
+    let mut regenerated = None;
+    for mode in [GenMode::Sequential, GenMode::Parallel, GenMode::Threads(3)] {
+        let world = StreamWorld::generate(&config, mode).expect("scaled national world");
+        let pass = world
+            .report
+            .stage("regulatory_pass")
+            .expect("the pass reports");
+        let phases = world.regulatory_phases;
+        let summed: std::time::Duration = phases.walls().iter().map(|&(_, wall)| wall).sum();
+        assert!(
+            summed <= pass.wall,
+            "sub-phases {summed:?} exceed the pass wall {:?} under {mode:?}",
+            pass.wall
+        );
+        assert!(phases.town_blocks_regenerated > 0);
+        // The pass is serial over providers, so its block cache sees the
+        // same visit sequence whatever the worker budget.
+        assert_eq!(
+            *regenerated.get_or_insert(phases.town_blocks_regenerated),
+            phases.town_blocks_regenerated,
+            "regenerated blocks differ under {mode:?}"
+        );
+    }
 }
